@@ -1,0 +1,7 @@
+"""Make the program sources and the benchmark modules importable."""
+
+import sys
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(BENCH_DIR.parent / "src"), str(BENCH_DIR)]
